@@ -424,7 +424,8 @@ type RunRequest struct {
 	Buffers map[string][]float32 `json:"buffers,omitempty"`
 	// NoProfile disables the profiling unit (no trace is produced).
 	NoProfile bool `json:"no_profile,omitempty"`
-	// MaxCycles overrides the simulation cycle budget (0 = default).
+	// MaxCycles lowers the simulation cycle budget below the server's
+	// ceiling (0 = the ceiling; larger values are clamped to it).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// TimeoutMs bounds the wall-clock simulation time; past it the run
 	// fails with kind "deadline".

@@ -8,9 +8,10 @@
 // is greedy over rounds: the best simulator-confirmed candidate of a
 // round becomes the base of the next, until no candidate improves on it.
 //
-// Determinism: candidate enumeration follows source order and sorted
-// parameter grids, simulation results are stored by candidate index,
-// and every tie breaks on (cycles, name). The simulator budget bounds
+// Determinism: candidate enumeration and deduplication run sequentially
+// in source order over sorted parameter grids, the parallel build/vet/
+// bracket tier and the simulations store results by candidate, and every
+// tie breaks on (cycles, name). The simulator budget bounds
 // the number of confirmation runs, so a search with the same source,
 // options and budget always returns the same report.
 package autotune
@@ -400,7 +401,8 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 	if err != nil {
 		return nil, fmt.Errorf("autotune: %w", err)
 	}
-	re, err := minic.Parse(minic.Print(prog0), minic.Options{VectorLanes: lanesOf(opts)})
+	lanes := minic.Lanes(opts.VectorLanes, opts.Defines)
+	re, err := minic.Parse(minic.Print(prog0), minic.Options{VectorLanes: lanes})
 	if err != nil {
 		return nil, fmt.Errorf("autotune: canonical source does not re-parse: %w", err)
 	}
@@ -408,8 +410,8 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 	// After canonicalization the defines are folded away; later parses
 	// only need the lane count.
 	topts.Defines = nil
-	topts.VectorLanes = lanesOf(opts)
-	canonOpts := core.BuildOptions{VectorLanes: lanesOf(opts)}
+	topts.VectorLanes = lanes
+	canonOpts := core.BuildOptions{VectorLanes: lanes}
 
 	baseProg, _, err := cache.Build(ctx, baseSrc, canonOpts)
 	if err != nil {
@@ -437,12 +439,20 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 			return nil, fmt.Errorf("autotune: %w", ctx.Err())
 		}
 		res.Rounds = round
-		targets, err := transform.Targets(best.src, topts)
+		// One legality analysis per round: every candidate of the round
+		// rewrites the same base.
+		base, err := transform.Prepare(best.src, topts)
+		if err != nil {
+			return nil, fmt.Errorf("autotune: round %d: %w", round, err)
+		}
+		targets, err := base.Targets()
 		if err != nil {
 			return nil, fmt.Errorf("autotune: round %d: %w", round, err)
 		}
 
-		// Cheap tier: apply + build + vet + bracket every candidate.
+		// Cheap tier, first half: apply every step and drop rewrites
+		// already explored. This stays sequential because the dedup
+		// order decides which candidate owns a shared rewrite.
 		type explored struct {
 			cand   Candidate
 			src    string
@@ -450,14 +460,14 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 			bounds perfbound.CycleBounds
 			ok     bool // eligible for simulation
 		}
-		var cands []*explored
+		var cands, fresh []*explored
 		for _, target := range targets {
 			for _, step := range expand(target, opts.grid()) {
 				e := &explored{cand: Candidate{
 					Name:  stepName(round, step),
 					Steps: append(append([]transform.Step{}, best.steps...), step),
 				}}
-				out, err := transform.Apply(best.src, step, topts)
+				out, err := base.Apply(step)
 				switch {
 				case err == nil:
 				case isNotProven(err):
@@ -474,32 +484,39 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 				}
 				seen[out] = true
 				e.src = out
-				prog, _, err := cache.Build(ctx, out, canonOpts)
-				if err != nil {
-					e.cand.Verdict, e.cand.Note = VerdictCompileError, err.Error()
-					cands = append(cands, e)
-					continue
-				}
-				if errs := vetErrors(kernel, out, canonOpts); len(errs) > 0 {
-					e.cand.Verdict, e.cand.Note = VerdictVetDirty, errs[0].String()
-					cands = append(cands, e)
-					continue
-				}
-				e.prog = prog
-				e.bounds = bracket(prog, opts.Params, simCfg)
-				e.cand.PredLower = e.bounds.Lower
-				e.cand.PredUpper = e.bounds.Upper
-				e.cand.UpperKnown = e.bounds.UpperKnown
-				if e.bounds.Lower >= best.cycles {
-					e.cand.Verdict = VerdictPruned
-					e.cand.Note = fmt.Sprintf("lower bound %d ≥ best %d", e.bounds.Lower, best.cycles)
-					cands = append(cands, e)
-					continue
-				}
-				e.ok = true
 				cands = append(cands, e)
+				fresh = append(fresh, e)
 			}
 		}
+
+		// Second half: build, vet and bracket the new rewrites on the
+		// simulation worker pool. Each worker writes only its own
+		// candidate, and best.cycles is fixed for the round, so the
+		// verdicts do not depend on scheduling.
+		_ = parallel.ForEach(parallel.Resolve(opts.Workers), len(fresh), func(i int) error {
+			e := fresh[i]
+			prog, _, err := cache.Build(ctx, e.src, canonOpts)
+			if err != nil {
+				e.cand.Verdict, e.cand.Note = VerdictCompileError, err.Error()
+				return nil
+			}
+			if errs := vetErrors(kernel, e.src, canonOpts); len(errs) > 0 {
+				e.cand.Verdict, e.cand.Note = VerdictVetDirty, errs[0].String()
+				return nil
+			}
+			e.prog = prog
+			e.bounds = bracket(prog, opts.Params, simCfg)
+			e.cand.PredLower = e.bounds.Lower
+			e.cand.PredUpper = e.bounds.Upper
+			e.cand.UpperKnown = e.bounds.UpperKnown
+			if e.bounds.Lower >= best.cycles {
+				e.cand.Verdict = VerdictPruned
+				e.cand.Note = fmt.Sprintf("lower bound %d ≥ best %d", e.bounds.Lower, best.cycles)
+				return nil
+			}
+			e.ok = true
+			return nil
+		})
 
 		// Expensive tier: simulate survivors, cheapest predicted first,
 		// within the budget.
@@ -598,20 +615,6 @@ func Optimize(ctx context.Context, kernel, src string, opts Options) (*Result, e
 		res.WinnerUpperKnown = best.bounds.UpperKnown
 	}
 	return res, nil
-}
-
-func lanesOf(opts Options) int {
-	if opts.VectorLanes > 0 {
-		return opts.VectorLanes
-	}
-	if v, ok := opts.Defines["VECTOR_LEN"]; ok {
-		var n int
-		fmt.Sscanf(v, "%d", &n)
-		if n > 0 {
-			return n
-		}
-	}
-	return 4
 }
 
 func isNotProven(err error) bool {

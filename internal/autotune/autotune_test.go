@@ -119,18 +119,19 @@ func TestBudgetRespected(t *testing.T) {
 	}
 }
 
-// TestDeterminism runs the same bounded search twice and requires
-// byte-identical reports.
+// TestDeterminism runs the same bounded search with 1, 2 and 4 workers
+// (build/vet/bracket and the simulations fan out over them) and twice at
+// 4 workers, and requires byte-identical reports.
 func TestDeterminism(t *testing.T) {
-	run := func() []byte {
+	run := func(workers int) []byte {
 		res, err := autotune.Optimize(context.Background(), "gemm-naive",
 			workloads.GEMMSource(workloads.GEMMNaive),
 			autotune.Options{
 				Defines:   workloads.GEMMDefines(workloads.GEMMNaive),
-				Params:    map[string]int64{"DIM": 64},
-				Budget:    autotune.Budget{Candidates: 6},
+				Params:    map[string]int64{"DIM": 32},
+				Budget:    autotune.Budget{Candidates: 4},
 				MaxRounds: 1,
-				Workers:   4,
+				Workers:   workers,
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -141,9 +142,11 @@ func TestDeterminism(t *testing.T) {
 		}
 		return b
 	}
-	a, b := run(), run()
-	if string(a) != string(b) {
-		t.Errorf("two identical searches produced different reports:\n%s\n%s", a, b)
+	want := run(4)
+	for _, workers := range []int{4, 1, 2} {
+		if got := run(workers); string(got) != string(want) {
+			t.Errorf("search with %d workers differs from the first 4-worker search:\n%s\n%s", workers, got, want)
+		}
 	}
 }
 

@@ -30,17 +30,7 @@ func Parse(src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	lanes := opts.VectorLanes
-	if lanes == 0 {
-		if v, ok := allDefines["VECTOR_LEN"]; ok {
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				lanes = n
-			}
-		}
-	}
-	if lanes == 0 {
-		lanes = 4
-	}
+	lanes := Lanes(opts.VectorLanes, allDefines)
 	p := &parser{toks: toks, defines: allDefines, lanes: lanes}
 	prog, err := p.parseProgram()
 	if err != nil {
@@ -50,6 +40,19 @@ func Parse(src string, opts Options) (*Program, error) {
 		return nil, err
 	}
 	return prog, nil
+}
+
+// Lanes resolves the VECTOR lane count: a positive explicit count wins,
+// then a VECTOR_LEN define that is a positive decimal integer, then the
+// paper's 4 lanes. Malformed defines ("8x", "0") fall back to 4.
+func Lanes(explicit int, defines map[string]string) int {
+	if explicit > 0 {
+		return explicit
+	}
+	if n, err := strconv.Atoi(defines["VECTOR_LEN"]); err == nil && n > 0 {
+		return n
+	}
+	return 4
 }
 
 type parser struct {

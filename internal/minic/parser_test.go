@@ -377,3 +377,39 @@ func TestFindTargetMissing(t *testing.T) {
 		t.Fatal("expected error for missing target region")
 	}
 }
+
+func TestLanes(t *testing.T) {
+	for _, tc := range []struct {
+		explicit int
+		define   string // "" = VECTOR_LEN absent
+		want     int
+	}{
+		{0, "", 4},
+		{0, "8", 8},
+		{0, "2", 2},
+		{0, "8x", 4},
+		{0, "0", 4},
+		{0, "-2", 4},
+		{0, " 8", 4},
+		{16, "8", 16},
+		{-1, "8", 8},
+	} {
+		defines := map[string]string{}
+		if tc.define != "" {
+			defines["VECTOR_LEN"] = tc.define
+		}
+		if got := Lanes(tc.explicit, defines); got != tc.want {
+			t.Errorf("Lanes(%d, VECTOR_LEN=%q) = %d, want %d", tc.explicit, tc.define, got, tc.want)
+		}
+	}
+	// Parse resolves the VECTOR type through the same helper.
+	for define, want := range map[string]int{"8": 8, "8x": 4, "0": 4} {
+		prog, err := Parse("#define VECTOR_LEN "+define+"\nvoid f(VECTOR* a) { a[0] = a[1]; }\n", Options{})
+		if err != nil {
+			t.Fatalf("VECTOR_LEN=%s: %v", define, err)
+		}
+		if got := prog.Funcs[0].Params[0].Type.Elem.Lanes; got != want {
+			t.Errorf("VECTOR_LEN=%s: parsed %d lanes, want %d", define, got, want)
+		}
+	}
+}

@@ -228,6 +228,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A request may lower the server's cycle ceiling but never raise it.
+	// Clamping before the digest makes the key name the ceiling applied.
+	ceiling := s.cfg.SimCfg.MaxCycles
+	if ceiling <= 0 {
+		ceiling = sim.DefaultMaxCycles
+	}
+	if req.MaxCycles > ceiling {
+		req.MaxCycles = ceiling
+	}
 	digest := api.RunKey(&req)
 	w.Header().Set("X-Nymbled-Run-Digest", digest)
 

@@ -43,8 +43,9 @@ type Options struct {
 	// Workers bounds how many simulations run concurrently (<= 0 uses
 	// parallel.DefaultWorkers()).
 	Workers int
-	// SimCfg is the base simulator configuration; per-request MaxCycles
-	// overrides apply on top of it.
+	// SimCfg is the base simulator configuration. Its MaxCycles is the
+	// server's cycle ceiling: a request's max_cycles may lower it, and a
+	// larger value is clamped to it.
 	SimCfg sim.Config
 	// Store persists finished run artifacts by digest so repeat requests
 	// — across restarts too — are served from disk without recompiling

@@ -24,7 +24,12 @@ import (
 
 func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Options{Workers: workers})
+	return newTestServerOpts(t, Options{Workers: workers})
+}
+
+func newTestServerOpts(t *testing.T, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -570,4 +575,35 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 		t.Errorf("healthz after shutdown = %d", hz.StatusCode)
 	}
 	readAll(t, hz)
+}
+
+// TestRequestCannotRaiseMaxCycles: a request asking for more cycles than
+// the server's ceiling still stops at the ceiling (422 max_cycles), and
+// the run digest names the ceiling actually applied.
+func TestRequestCannotRaiseMaxCycles(t *testing.T) {
+	const ceiling = 5000 // far below one GEMM-16 run
+	cfg := sim.DefaultConfig()
+	cfg.MaxCycles = ceiling
+	_, ts := newTestServerOpts(t, Options{Workers: 1, SimCfg: cfg})
+
+	req := gemmRunRequest(16)
+	req.MaxCycles = 1 << 40 // enough for the run, if the server honored it
+	req.Wait = true
+	resp := postJSON(t, ts.URL+"/v1/run", req)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422: %s", resp.StatusCode, body)
+	}
+	var doc api.Job
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.ErrorKind != "max_cycles" || !strings.Contains(doc.Error, fmt.Sprintf("MaxCycles=%d", ceiling)) {
+		t.Fatalf("doc = %+v, want a max_cycles failure at the %d-cycle ceiling", doc, ceiling)
+	}
+	clamped := req
+	clamped.MaxCycles = ceiling
+	if got, want := resp.Header.Get("X-Nymbled-Run-Digest"), api.RunKey(&clamped); got != want {
+		t.Errorf("run digest %s, want the clamped request's %s", got, want)
+	}
 }

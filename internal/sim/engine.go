@@ -512,7 +512,7 @@ const ctxCheckMask = 1<<12 - 1
 func (e *engine) run(ctx context.Context) error {
 	maxCycles := e.cfg.MaxCycles
 	if maxCycles <= 0 {
-		maxCycles = 4_000_000_000
+		maxCycles = DefaultMaxCycles
 	}
 	nDone := 0
 	iter := uint64(0)

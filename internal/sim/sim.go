@@ -33,13 +33,16 @@ type Config struct {
 	// Profile configures the profiling unit. Profile.Enabled=false gives
 	// the "without profiling" baseline.
 	Profile profile.Config
-	// MaxCycles aborts runaway simulations (0 = 4e9).
+	// MaxCycles aborts runaway simulations (0 = DefaultMaxCycles).
 	MaxCycles int64
 	// Interp forces the interpreted per-op dispatch path instead of the
 	// specialized stage closures. Both paths are cycle- and bit-exact;
 	// the interpreter is kept as the differential-testing oracle.
 	Interp bool
 }
+
+// DefaultMaxCycles is the cycle ceiling of a Config with MaxCycles 0.
+const DefaultMaxCycles = 4_000_000_000
 
 // DefaultConfig returns the configuration used by the paper-reproduction
 // experiments.

@@ -17,7 +17,9 @@
 // print → re-parse → print. The double print canonicalizes the output
 // (sema inserts coercion casts on the first re-parse), so applying a
 // pass is idempotent byte-wise: transforming already-transformed source
-// with identity parameters returns the input unchanged.
+// with identity parameters returns the input unchanged. A search that
+// applies many steps to one source calls Prepare once and Base.Apply per
+// step, so the legality report is derived once per source, not per step.
 package transform
 
 import (
@@ -136,15 +138,72 @@ func (c *passCtx) loopDeps(pass string, st *minic.ForStmt) (*depend.LoopDeps, er
 	return ld, nil
 }
 
+// Base is a source prepared for repeated transformation: parsed and
+// analyzed once, so every candidate of a search round gates against the
+// same legality report instead of recomputing it. The report is plain
+// name-keyed data the passes only read; each Apply re-parses the source
+// because the passes mutate the AST. A Base is never modified after
+// Prepare.
+type Base struct {
+	src   string
+	parse minic.Options
+	rep   *depend.Report
+	lanes int
+	env   map[string]int64
+}
+
+// Prepare parses src and derives its legality report (or takes
+// opts.Report).
+func Prepare(src string, opts Options) (*Base, error) {
+	b := &Base{
+		src:   src,
+		parse: minic.Options{Defines: opts.Defines, VectorLanes: opts.VectorLanes},
+		rep:   opts.Report,
+		lanes: minic.Lanes(opts.VectorLanes, opts.Defines),
+		env:   opts.Params,
+	}
+	_, c, err := b.analyze()
+	if err != nil {
+		return nil, err
+	}
+	if b.rep == nil {
+		b.rep = LegalityReport(c.fn, opts.Params)
+	}
+	return b, nil
+}
+
+// analyze parses a fresh copy of the base source for one pass run.
+func (b *Base) analyze() (*minic.Program, *passCtx, error) {
+	prog, err := minic.Parse(b.src, b.parse)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transform: %w", err)
+	}
+	fn, _, err := minic.FindTarget(prog)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transform: %w", err)
+	}
+	return prog, &passCtx{fn: fn, rep: b.rep, lanes: b.lanes, env: b.env, used: usedNames(fn)}, nil
+}
+
 // Apply parses src, applies one transformation step and returns the
 // canonical printed source. The emitted text is guaranteed to re-parse;
 // building, vetting and simulating it is the caller's business.
 func Apply(src string, step Step, opts Options) (string, error) {
-	prog, fn, ctx, err := analyze(src, opts)
+	b, err := Prepare(src, opts)
 	if err != nil {
 		return "", err
 	}
-	st := findLoop(fn, step.Loop)
+	return b.Apply(step)
+}
+
+// Apply applies one transformation step to the base source; see the
+// package-level Apply.
+func (b *Base) Apply(step Step) (string, error) {
+	prog, ctx, err := b.analyze()
+	if err != nil {
+		return "", err
+	}
+	st := findLoop(ctx.fn, step.Loop)
 	if st == nil {
 		return "", notApplicable(step.Pass, step.Loop, "no such loop")
 	}
@@ -182,32 +241,6 @@ func canonical(prog *minic.Program, lanes int) (string, error) {
 	return minic.Print(re), nil
 }
 
-func analyze(src string, opts Options) (*minic.Program, *minic.FuncDecl, *passCtx, error) {
-	prog, err := minic.Parse(src, minic.Options{Defines: opts.Defines, VectorLanes: opts.VectorLanes})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("transform: %w", err)
-	}
-	fn, _, err := minic.FindTarget(prog)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("transform: %w", err)
-	}
-	rep := opts.Report
-	if rep == nil {
-		rep = LegalityReport(fn, opts.Params)
-	}
-	lanes := opts.VectorLanes
-	if lanes == 0 {
-		if v, ok := opts.Defines["VECTOR_LEN"]; ok {
-			fmt.Sscanf(v, "%d", &lanes)
-		}
-	}
-	if lanes <= 0 {
-		lanes = 4
-	}
-	ctx := &passCtx{fn: fn, rep: rep, lanes: lanes, env: opts.Params, used: usedNames(fn)}
-	return prog, fn, ctx, nil
-}
-
 // LegalityReport derives the range-refined dependence report the passes
 // gate on: abstract-interpretation index ranges feeding the dependence
 // solver, exactly as the advisor and the vet report's depend section.
@@ -225,12 +258,22 @@ func LegalityReport(fn *minic.FuncDecl, params map[string]int64) *depend.Report 
 // driver crosses each target with its parameter grid and lets Apply
 // check legality and divisibility.
 func Targets(src string, opts Options) ([]Step, error) {
-	_, fn, ctx, err := analyze(src, opts)
+	b, err := Prepare(src, opts)
+	if err != nil {
+		return nil, err
+	}
+	return b.Targets()
+}
+
+// Targets enumerates the base source's structural targets; see the
+// package-level Targets.
+func (b *Base) Targets() ([]Step, error) {
+	_, ctx, err := b.analyze()
 	if err != nil {
 		return nil, err
 	}
 	var out []Step
-	for _, st := range forLoops(fn) {
+	for _, st := range forLoops(ctx.fn) {
 		name := loopName(st)
 		if matchRedistribute(ctx, st) == nil {
 			out = append(out, Step{Pass: PassRedistribute, Loop: name})

@@ -3,6 +3,8 @@ package transform_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"paravis/internal/core"
@@ -378,5 +380,135 @@ func TestDoubleBufferFlowDep(t *testing.T) {
 	opts.Report = rep
 	if _, err := transform.Apply(v4, step, opts); !errors.Is(err, transform.ErrNotProven) {
 		t.Fatalf("want ErrNotProven on carried flow through buffer, got %v", err)
+	}
+}
+
+// gridSteps crosses a structural target with the search's default
+// parameter grid (autotune: unroll 2/4, tile and block-bram sizes
+// 4/8/16, block-bram with and without vector staging).
+func gridSteps(s transform.Step) []transform.Step {
+	with := func(key string, vals ...int64) []transform.Step {
+		var out []transform.Step
+		for _, v := range vals {
+			out = append(out, transform.Step{Pass: s.Pass, Loop: s.Loop, Params: map[string]int64{key: v}})
+		}
+		return out
+	}
+	switch s.Pass {
+	case transform.PassUnroll:
+		return with("factor", 2, 4)
+	case transform.PassTile:
+		return with("size", 4, 8, 16)
+	case transform.PassBlockBRAM:
+		var out []transform.Step
+		for _, bs := range []int64{4, 8, 16} {
+			for _, vec := range []int64{1, 0} {
+				out = append(out, transform.Step{Pass: s.Pass, Loop: s.Loop, Params: map[string]int64{"bs": bs, "vec": vec}})
+			}
+		}
+		return out
+	default:
+		return []transform.Step{s}
+	}
+}
+
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, transform.ErrNotProven):
+		return "not-proven"
+	case errors.Is(err, transform.ErrNotApplicable):
+		return "not-applicable"
+	default:
+		return "other"
+	}
+}
+
+// TestPreparedBaseMatchesApply: one prepared base reused for every
+// candidate step emits exactly what a fresh Apply per step emits (same
+// bytes, same error class, same message), in enumeration order and in
+// reverse, so sharing the legality report across passes leaks no state
+// between them. Bases are the six seed workloads' canonical sources and
+// every round base of the search's GEMM ladder.
+func TestPreparedBaseMatchesApply(t *testing.T) {
+	type base struct {
+		name string
+		src  string
+		opts transform.Options
+	}
+	var bases []base
+	for _, u := range workloads.Units() {
+		lanes := minic.Lanes(0, u.Defines)
+		p, err := minic.Parse(u.Source, minic.Options{Defines: u.Defines})
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		re, err := minic.Parse(minic.Print(p), minic.Options{VectorLanes: lanes})
+		if err != nil {
+			t.Fatalf("%s: reparse: %v", u.Name, err)
+		}
+		bases = append(bases, base{u.Name, minic.Print(re), transform.Options{VectorLanes: lanes, Params: u.Params}})
+	}
+	outs := ladderOutputs(t)
+	ladderOpts := transform.Options{VectorLanes: 4, Params: gemmOpts.Params}
+	bases = append(bases,
+		base{"ladder-r1-naive", canonGEMM(t, workloads.GEMMNaive), ladderOpts},
+		base{"ladder-r2-redistributed", outs["v2"], ladderOpts},
+		base{"ladder-r3-blocked", outs["v4"], ladderOpts},
+		base{"ladder-r4-double-buffered", outs["v5"], ladderOpts})
+
+	seen := map[string]int{}
+	for _, bc := range bases {
+		b, err := transform.Prepare(bc.src, bc.opts)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", bc.name, err)
+		}
+		targets, err := b.Targets()
+		if err != nil {
+			t.Fatalf("%s: targets: %v", bc.name, err)
+		}
+		free, err := transform.Targets(bc.src, bc.opts)
+		if err != nil {
+			t.Fatalf("%s: free targets: %v", bc.name, err)
+		}
+		if !reflect.DeepEqual(targets, free) {
+			t.Errorf("%s: prepared targets %v != free targets %v", bc.name, targets, free)
+		}
+		var steps []transform.Step
+		for _, tg := range targets {
+			steps = append(steps, gridSteps(tg)...)
+		}
+		type outcome struct {
+			src string
+			err error
+		}
+		want := make([]outcome, len(steps))
+		for i, s := range steps {
+			want[i].src, want[i].err = transform.Apply(bc.src, s, bc.opts)
+			seen[errClass(want[i].err)]++
+		}
+		check := func(i int) {
+			got, err := b.Apply(steps[i])
+			w := want[i]
+			if errClass(err) != errClass(w.err) || fmt.Sprint(err) != fmt.Sprint(w.err) {
+				t.Errorf("%s: %s(%s)%v: prepared error %v, free error %v", bc.name, steps[i].Pass, steps[i].Loop, steps[i].Params, err, w.err)
+			} else if got != w.src {
+				t.Errorf("%s: %s(%s)%v: prepared output differs from free Apply:\n--- prepared ---\n%s\n--- free ---\n%s",
+					bc.name, steps[i].Pass, steps[i].Loop, steps[i].Params, got, w.src)
+			}
+		}
+		for i := range steps {
+			check(i)
+		}
+		for i := len(steps) - 1; i >= 0; i-- {
+			check(i)
+		}
+	}
+	t.Logf("step outcomes over %d bases: %v", len(bases), seen)
+	for _, class := range []string{"ok", "not-proven", "not-applicable"} {
+		if seen[class] == 0 {
+			t.Errorf("no step ended %s; the comparison does not cover that path (outcomes %v)", class, seen)
+		}
 	}
 }
