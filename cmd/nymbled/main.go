@@ -60,6 +60,10 @@ import (
 	"paravis/internal/store"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a slow or stalled connection cannot hold a socket open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("j", 0, "max simulations running concurrently (0 = GOMAXPROCS)")
@@ -107,7 +111,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nymbled: artifact store at %s (%d entries)\n", *storeDir, st.Stats().Entries)
 	}
 	srv := server.New(opts)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	// Profiling endpoint on its own listener, so the debug surface never
 	// shares a port with the service API. Off unless -pprof is given.
@@ -120,7 +124,8 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
 			fmt.Fprintf(os.Stderr, "nymbled: pprof on %s\n", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, mux); err != nil {
+			dbg := &http.Server{Addr: *pprofAddr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+			if err := dbg.ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "nymbled: pprof:", err)
 			}
 		}()
@@ -176,7 +181,7 @@ func runDispatcher(addr string, rps float64, burst int, token string, drain time
 		fmt.Fprintln(os.Stderr, "nymbled: warning: no -fleet-token; worker registration is open to anyone who can reach this dispatcher")
 	}
 	d := fleet.NewDispatcher(fleet.Options{TenantRPS: rps, TenantBurst: burst, RegisterToken: token})
-	httpSrv := &http.Server{Addr: addr, Handler: d.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -3,7 +3,7 @@ package absint
 import "paravis/internal/minic"
 
 // This file lowers the structured statement AST to an explicit control
-// flow graph the worklist solver iterates over. MiniC has no break,
+// flow graph the fixpoint solver iterates over. MiniC has no break,
 // continue or goto, so the only back edges are for-loop latches and
 // every cycle passes through a loop-head block — the widening points.
 
@@ -30,6 +30,7 @@ type block struct {
 
 	cond     minic.Expr
 	condStmt minic.Stmt // the IfStmt/ForStmt owning cond, for reporting
+	impure   bool       // cond has side effects (see refine)
 	tsucc    *block
 	fsucc    *block
 	next     *block
@@ -72,6 +73,9 @@ func buildCFG(fn *minic.FuncDecl) *cfg {
 		end.next = nil
 	}
 	g.wire()
+	for _, bl := range g.blocks {
+		bl.impure = bl.cond != nil && impure(bl.cond)
+	}
 	return g
 }
 

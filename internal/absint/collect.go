@@ -1,7 +1,6 @@
 package absint
 
 import (
-	"fmt"
 	"sort"
 
 	"paravis/internal/minic"
@@ -185,12 +184,14 @@ func Analyze(fn *minic.FuncDecl, opts Options) *Result {
 		div: map[*minic.Binary]Val{},
 		win: map[string]*winRec{},
 	}
+	st := a.newState()
 	for _, bl := range a.g.rpo {
-		in, reach := a.in[bl]
-		if !reach {
+		in := a.in[bl.id]
+		if in == nil {
 			continue
 		}
-		ev := &evaluator{a: a, st: cloneState(in), inRegion: bl.inRegion, col: col}
+		copy(st, in)
+		ev := &evaluator{a: a, st: st, inRegion: bl.inRegion, col: col}
 		for _, ins := range bl.instrs {
 			ev.instr(ins)
 		}
@@ -276,13 +277,12 @@ func (c *collector) mapWindow(mc *minic.MapClause, low, length Val) {
 
 // --- loops ---
 
-func loopName(st *minic.ForStmt) string { return fmt.Sprintf("for@%s", st.Pos) }
-
 func (c *collector) finishLoops(res *Result) {
+	pre := c.a.newState()
 	for st, head := range c.a.g.heads {
-		lf := &LoopFact{Loop: st, Name: loopName(st), Pos: st.Pos}
+		lf := &LoopFact{Loop: st, Name: minic.LoopName(st), Pos: st.Pos}
 		res.Loops[st] = lf
-		if _, ok := c.a.in[head]; !ok {
+		if c.a.in[head.id] == nil {
 			lf.Trips = Exact(0)
 			continue
 		}
@@ -292,20 +292,22 @@ func (c *collector) finishLoops(res *Result) {
 			lf.Trips = AtLeast(0)
 			continue
 		}
-		_, bodyOK := c.a.outT[head]
+		bodyOK := c.a.outT[head.id] != nil
 		lf.BodyReachable = bodyOK
 
 		trips := AtLeast(0)
 		if !bodyOK {
 			trips = Exact(0)
 		} else {
-			if t, ok := c.recognizedTrips(st, head); ok {
+			// The per-entry preheader state. Only pure expressions are
+			// evaluated over it, so it is shared by both checks.
+			have := c.a.inFlow(pre, head, head.latch)
+			if t, ok := c.recognizedTrips(st, head, pre, have); ok {
 				trips = trips.Meet(t)
 			}
-			// First-iteration check on the per-entry preheader state.
-			pre, have := c.a.inFlow(head, head.latch)
+			// First-iteration check on the preheader state.
 			if have && !impure(st.Cond) {
-				ev := &evaluator{a: c.a, st: cloneState(pre), inRegion: head.inRegion}
+				ev := &evaluator{a: c.a, st: pre, inRegion: head.inRegion}
 				switch ev.expr(st.Cond).truth() {
 				case +1:
 					trips = trips.Meet(AtLeast(1))
@@ -328,7 +330,8 @@ func (c *collector) finishLoops(res *Result) {
 // recognizedTrips brackets the per-entry trip count of a canonical
 // counted loop: a single induction variable stepped by an invariant
 // constant in the post clause and tested against an invariant bound.
-func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (Interval, bool) {
+// pre is the preheader state (have false: not reachable from outside).
+func (c *collector) recognizedTrips(st *minic.ForStmt, head *block, pre state, have bool) (Interval, bool) {
 	if impure(st.Cond) {
 		return Top(), false
 	}
@@ -347,11 +350,10 @@ func (c *collector) recognizedTrips(st *minic.ForStmt, head *block) (Interval, b
 		return Top(), false
 	}
 
-	pre, have := c.a.inFlow(head, head.latch)
 	if !have {
 		return Top(), false
 	}
-	ev := &evaluator{a: c.a, st: cloneState(pre), inRegion: head.inRegion}
+	ev := &evaluator{a: c.a, st: pre, inRegion: head.inRegion}
 
 	// The step must be an invariant constant.
 	if stepExpr != nil {
@@ -650,11 +652,10 @@ func (c *collector) finishConds(res *Result) {
 		if bl.cond == nil || bl.condStmt == nil {
 			continue
 		}
-		if _, reach := c.a.in[bl]; !reach {
+		if c.a.in[bl.id] == nil {
 			continue
 		}
-		_, tOK := c.a.outT[bl]
-		_, fOK := c.a.outF[bl]
+		tOK, fOK := c.a.outT[bl.id] != nil, c.a.outF[bl.id] != nil
 		if tOK == fOK {
 			continue // undecided, or bottom on both edges
 		}

@@ -6,58 +6,73 @@ import (
 	"paravis/internal/minic"
 )
 
-// state maps tracked variable ids to non-top abstract values. A missing
-// key means top; unreachable blocks have no state at all.
-type state map[int]Val
+// state holds one abstract value per resolved variable, indexed by
+// variable id. A slot with no information (untracked variables included)
+// holds the canonical topVal(); unreachable blocks have no state (nil).
+type state []Val
 
-func cloneState(s state) state {
-	c := make(state, len(s))
-	for k, v := range s {
-		c[k] = v
+func (a *analysis) newState() state {
+	s := make(state, len(a.res.vars))
+	for i := range s {
+		s[i] = topVal()
 	}
-	return c
+	return s
 }
 
-// joinStates over-approximates both inputs: keys kept only where known
-// on both sides.
-func joinStates(a, b state) state {
-	r := make(state)
-	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			j := va.join(vb)
-			if !j.isTop() {
-				r[k] = j
-			}
-		}
+// set stores val for variable id, keeping top canonical.
+func (s state) set(id int, val Val) {
+	if val.isTop() {
+		val = topVal()
 	}
-	return r
+	s[id] = val
+}
+
+// joinStates writes the join of a and b into dst, which may alias
+// either. Top absorbs: a slot is known only where both sides know it.
+func joinStates(dst, a, b state) {
+	for i := range dst {
+		va, vb := a[i], b[i]
+		if va.isTop() || vb.isTop() {
+			dst[i] = topVal()
+			continue
+		}
+		dst.set(i, va.join(vb))
+	}
+}
+
+// widenStates widens old toward next in place in next. A slot unknown in
+// old is known here for the first time: the join already covered both
+// inputs, so the new value stands.
+func widenStates(old, next state, th []int64) {
+	for i, nv := range next {
+		if nv.isTop() || old[i].isTop() {
+			continue
+		}
+		next.set(i, old[i].widen(nv, th))
+	}
 }
 
 func equalStates(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, va := range a {
-		vb, ok := b[k]
-		if !ok || !va.equal(vb) {
+	for i := range a {
+		if !a[i].equal(b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// analysis is the per-function solver context.
+// analysis is the per-function solver context. The per-block flow
+// states are indexed by block id.
 type analysis struct {
 	res   *resolution
 	g     *cfg
-	env   map[string]int64
 	th    []int64 // sorted widening thresholds
 	delay int     // widening delay (head visits before widening kicks in)
-	in    map[*block]state
-	outN  map[*block]state // unconditional-edge out
-	outT  map[*block]state // refined true-edge out
-	outF  map[*block]state // refined false-edge out
-	ok    bool             // solver converged within budget
+	entry state   // function-entry state: known parameter values
+	in    []state // nil while the block is unreachable
+	outN  []state // unconditional-edge out
+	outT  []state // refined true-edge out; nil when the edge is dead
+	outF  []state // refined false-edge out; nil when the edge is dead
 }
 
 const (
@@ -66,17 +81,24 @@ const (
 )
 
 func newAnalysis(fn *minic.FuncDecl, res *resolution, env map[string]int64, delay int) *analysis {
+	g := buildCFG(fn)
+	n := len(g.blocks)
 	a := &analysis{
 		res:   res,
-		g:     buildCFG(fn),
-		env:   env,
+		g:     g,
 		delay: delay,
-		in:    map[*block]state{},
-		outN:  map[*block]state{},
-		outT:  map[*block]state{},
-		outF:  map[*block]state{},
+		in:    make([]state, n),
+		outN:  make([]state, n),
+		outT:  make([]state, n),
+		outF:  make([]state, n),
 	}
 	a.th = thresholds(fn, env, res.nt)
+	a.entry = a.newState()
+	for _, v := range res.vars {
+		if val, ok := env[v.name]; ok && v.isParam && v.tracked {
+			a.entry[v.id] = exactVal(val)
+		}
+	}
 	return a
 }
 
@@ -160,115 +182,140 @@ func thresholds(fn *minic.FuncDecl, env map[string]int64, nt int) []int64 {
 	return out
 }
 
-// entryState seeds the function entry with known parameter values.
-func (a *analysis) entryState() state {
-	st := make(state)
-	if a.env == nil {
-		return st
+// inFlow joins the edge-out states of bl's predecessors, skipping
+// except, into dst. It returns false when no predecessor has produced a
+// state yet (the block is currently unreachable); dst is then garbage.
+func (a *analysis) inFlow(dst state, bl *block, except *block) bool {
+	if bl == a.g.entry {
+		copy(dst, a.entry)
+		return true
 	}
-	for _, v := range a.res.vars {
-		if v.isParam && v.tracked {
-			if val, ok := a.env[v.name]; ok {
-				st[v.id] = exactVal(val)
-			}
+	have := false
+	add := func(s state) {
+		switch {
+		case s == nil:
+		case !have:
+			copy(dst, s)
+			have = true
+		default:
+			joinStates(dst, dst, s)
 		}
 	}
-	return st
-}
-
-// inFlow joins the edge-out states of bl's predecessors, skipping any
-// listed in except. The second result is false when no predecessor has
-// produced a state yet (the block is currently unreachable).
-func (a *analysis) inFlow(bl *block, except *block) (state, bool) {
-	if bl == a.g.entry {
-		return a.entryState(), true
-	}
-	var acc state
-	have := false
 	for _, p := range bl.preds {
 		if p == except {
 			continue
 		}
-		var edges []state
 		if p.cond != nil {
 			if p.tsucc == bl {
-				if s, ok := a.outT[p]; ok {
-					edges = append(edges, s)
-				}
+				add(a.outT[p.id])
 			}
 			if p.fsucc == bl {
-				if s, ok := a.outF[p]; ok {
-					edges = append(edges, s)
-				}
+				add(a.outF[p.id])
 			}
 		} else if p.next == bl {
-			if s, ok := a.outN[p]; ok {
-				edges = append(edges, s)
-			}
-		}
-		for _, s := range edges {
-			if !have {
-				acc, have = cloneState(s), true
-			} else {
-				acc = joinStates(acc, s)
-			}
+			add(a.outN[p.id])
 		}
 	}
-	return acc, have
+	return have
+}
+
+// reuse returns buf, or a fresh state when buf is nil.
+func (a *analysis) reuse(buf state) state {
+	if buf == nil {
+		return a.newState()
+	}
+	return buf
 }
 
 // transfer runs bl's instructions over a copy of in and refreshes the
-// per-edge out states.
+// per-edge out states, overwriting their previous buffers.
 func (a *analysis) transfer(bl *block, in state) {
-	ev := &evaluator{a: a, st: cloneState(in), inRegion: bl.inRegion}
-	for _, ins := range bl.instrs {
-		ev.instr(ins)
-	}
-	out := ev.st
+	id := bl.id
 	if bl.cond == nil {
-		a.outN[bl] = out
+		out := a.reuse(a.outN[id])
+		copy(out, in)
+		a.run(bl, out)
+		a.outN[id] = out
 		return
 	}
-	if t, ok := refine(a, out, bl.cond, true, bl.inRegion); ok {
-		a.outT[bl] = t
-	} else {
-		delete(a.outT, bl)
+	out := a.reuse(a.outF[id])
+	copy(out, in)
+	a.run(bl, out)
+	t := a.reuse(a.outT[id])
+	copy(t, out)
+	a.outT[id], a.outF[id] = nil, nil
+	if refine(a, t, bl, true) {
+		a.outT[id] = t
 	}
-	if f, ok := refine(a, out, bl.cond, false, bl.inRegion); ok {
-		a.outF[bl] = f
-	} else {
-		delete(a.outF, bl)
+	if refine(a, out, bl, false) {
+		a.outF[id] = out
 	}
 }
 
-// solve iterates to a fixpoint with widening at loop heads, then runs
-// two narrowing passes. Returns false if the pass budget ran out (the
-// caller then publishes no facts).
+// run applies bl's instructions to st in place.
+func (a *analysis) run(bl *block, st state) {
+	ev := &evaluator{a: a, st: st, inRegion: bl.inRegion}
+	for _, ins := range bl.instrs {
+		ev.instr(ins)
+	}
+}
+
+// solve iterates reverse postorder to a fixpoint with widening at loop
+// heads, then runs two narrowing passes. Returns false if the pass
+// budget ran out (the caller then publishes no facts).
+//
+// A block that already has a state is skipped while none of its
+// predecessors has transferred since its in-state was last joined: the
+// join would read the same edge states, and joining or widening a state
+// with what it already covers returns it unchanged. A skipped loop head
+// still counts the visit, since the widening delay counts visits; so
+// the solver takes exactly the steps of one that re-joins every block.
 func (a *analysis) solve() bool {
-	visits := map[*block]int{}
+	n := len(a.g.blocks)
+	visits := make([]int, n)
+	stamp := make([]int, n)  // clock at the block's last transfer
+	joined := make([]int, n) // clock when the block's in-state was last joined
+	clock := 0
+	scratch := a.newState()
+	unchanged := func(bl *block) bool {
+		for _, p := range bl.preds {
+			if stamp[p.id] > joined[bl.id] {
+				return false
+			}
+		}
+		return true
+	}
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for _, bl := range a.g.rpo {
-			newIn, reach := a.inFlow(bl, nil)
-			if !reach {
+			id := bl.id
+			old := a.in[id]
+			if old != nil && unchanged(bl) {
+				if bl.isLoopHead {
+					visits[id]++
+				}
 				continue
 			}
-			old, had := a.in[bl]
-			if had {
-				merged := joinStates(old, newIn)
+			if !a.inFlow(scratch, bl, nil) {
+				continue
+			}
+			joined[id] = clock
+			if old != nil {
+				joinStates(scratch, old, scratch)
 				if bl.isLoopHead {
-					visits[bl]++
-					if visits[bl] > a.delay {
-						merged = widenStates(old, merged, a.th)
+					visits[id]++
+					if visits[id] > a.delay {
+						widenStates(old, scratch, a.th)
 					}
 				}
-				if equalStates(old, merged) {
+				if equalStates(old, scratch) {
 					continue
 				}
-				newIn = merged
 			}
-			a.in[bl] = newIn
-			a.transfer(bl, newIn)
+			a.in[id], scratch = scratch, a.reuse(old)
+			a.transfer(bl, a.in[id])
+			clock++
+			stamp[id] = clock
 			changed = true
 		}
 		if !changed {
@@ -276,46 +323,22 @@ func (a *analysis) solve() bool {
 			// joining with the old value. Transfer functions are monotone
 			// and the widened solution is a post-fixpoint, so this only
 			// tightens. Two passes recover most threshold overshoot.
-			for n := 0; n < 2; n++ {
+			for k := 0; k < 2; k++ {
 				for _, bl := range a.g.rpo {
-					newIn, reach := a.inFlow(bl, nil)
-					if !reach {
-						delete(a.in, bl)
-						delete(a.outN, bl)
-						delete(a.outT, bl)
-						delete(a.outF, bl)
+					id := bl.id
+					if !a.inFlow(scratch, bl, nil) {
+						a.in[id], a.outN[id], a.outT[id], a.outF[id] = nil, nil, nil, nil
 						continue
 					}
-					a.in[bl] = newIn
-					a.transfer(bl, newIn)
+					old := a.in[id]
+					a.in[id], scratch = scratch, a.reuse(old)
+					a.transfer(bl, a.in[id])
 				}
 			}
 			return true
 		}
 	}
 	return false
-}
-
-// widenStates widens old toward next per variable. Keys that vanish
-// from next (went to top) stay gone.
-func widenStates(old, next state, th []int64) state {
-	r := make(state, len(next))
-	for k, nv := range next {
-		if ov, ok := old[k]; ok {
-			w := ov.widen(nv, th)
-			if !w.isTop() {
-				r[k] = w
-			}
-		}
-		// Key absent in old: first time this variable is known here —
-		// keep the new value; the join already covered both inputs.
-		if _, ok := old[k]; !ok {
-			if !nv.isTop() {
-				r[k] = nv
-			}
-		}
-	}
-	return r
 }
 
 // evaluator walks statements/expressions over one mutable state. The
@@ -368,7 +391,7 @@ func (ev *evaluator) instr(ins instr) {
 		// outer scope is unknown afterwards, as are from-mapped scalars.
 		for _, v := range ev.a.res.vars {
 			if v.sharedMut {
-				delete(ev.st, v.id)
+				ev.st[v.id] = topVal()
 			}
 		}
 		for i := range ins.ts.Maps {
@@ -377,19 +400,13 @@ func (ev *evaluator) instr(ins instr) {
 				continue
 			}
 			if v, ok := ev.a.res.mapOf[mc.Name]; ok && v.tracked {
-				delete(ev.st, v.id)
+				ev.st[v.id] = topVal()
 			}
 		}
 	}
 }
 
-func (ev *evaluator) set(v *variable, val Val) {
-	if val.isTop() {
-		delete(ev.st, v.id)
-	} else {
-		ev.st[v.id] = val
-	}
-}
+func (ev *evaluator) set(v *variable, val Val) { ev.st.set(v.id, val) }
 
 func (ev *evaluator) get(v *variable) Val {
 	if v == nil || !v.tracked {
@@ -399,10 +416,7 @@ func (ev *evaluator) get(v *variable) Val {
 		// Another omp thread may have stored anything here.
 		return topVal()
 	}
-	if val, ok := ev.st[v.id]; ok {
-		return val
-	}
-	return topVal()
+	return ev.st[v.id]
 }
 
 func isIntExpr(e minic.Expr) bool {

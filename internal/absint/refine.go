@@ -2,25 +2,21 @@ package absint
 
 import "paravis/internal/minic"
 
-// refine produces the edge state for taking cond with the given truth
-// sense. Returns ok=false when the edge is provably dead (the refined
-// state is bottom). The refinement only narrows identifier values —
-// everything else stays as computed by the transfer function — so it is
-// always a sound over-approximation of the concrete edge states.
-func refine(a *analysis, out state, cond minic.Expr, sense bool, inRegion bool) (state, bool) {
-	st := cloneState(out)
-	if impure(cond) {
+// refine narrows st in place to the edge state for taking bl's branch
+// condition with the given truth sense. Returns false when the edge is
+// provably dead (the refined state is bottom; st is then garbage). The
+// refinement only narrows identifier values — everything else stays as
+// computed by the transfer function — so it is always a sound
+// over-approximation of the concrete edge states.
+func refine(a *analysis, st state, bl *block, sense bool) bool {
+	if bl.impure {
 		// A side-effecting condition (rare): apply its effects once, keep
 		// only the truth-contradiction check, skip narrowing.
-		ev := &evaluator{a: a, st: st, inRegion: inRegion}
-		t := ev.expr(cond).truth()
-		if (sense && t < 0) || (!sense && t > 0) {
-			return st, false
-		}
-		return st, true
+		ev := &evaluator{a: a, st: st, inRegion: bl.inRegion}
+		t := ev.expr(bl.cond).truth()
+		return !((sense && t < 0) || (!sense && t > 0))
 	}
-	ok := refineInto(a, st, cond, sense, inRegion)
-	return st, ok
+	return refineInto(a, st, bl.cond, sense, bl.inRegion)
 }
 
 // impure reports whether evaluating e could change tracked state.
@@ -38,6 +34,7 @@ func impure(e minic.Expr) bool {
 }
 
 // refineInto narrows st in place; false means contradiction (dead edge).
+// cond is pure, so evaluating it never changes st.
 func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion bool) bool {
 	switch x := cond.(type) {
 	case *minic.Unary:
@@ -67,7 +64,7 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		if v == nil || !v.tracked || (v.sharedMut && inRegion) {
 			return true
 		}
-		cur := stGet(st, v)
+		cur := st[v.id]
 		var nv Val
 		if sense {
 			nv = excludeZero(cur)
@@ -77,12 +74,12 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 		if nv.isBottom() {
 			return false
 		}
-		stSet(st, v, nv)
+		st.set(v.id, nv)
 		return true
 	}
 	// Generic fallback: evaluate the condition in the current state and
 	// check for a truth contradiction.
-	ev := &evaluator{a: a, st: cloneState(st), inRegion: inRegion}
+	ev := &evaluator{a: a, st: st, inRegion: inRegion}
 	t := ev.expr(cond).truth()
 	if (sense && t < 0) || (!sense && t > 0) {
 		return false
@@ -91,57 +88,20 @@ func refineInto(a *analysis, st state, cond minic.Expr, sense bool, inRegion boo
 }
 
 // refineOr refines along "L(with senseL) OR R(with senseR)": the result
-// must cover both disjuncts, so each is refined independently and the
-// surviving states joined. Both dead means the edge is dead.
+// must cover both disjuncts, so each is refined independently (L on a
+// copy, R in place) and the surviving states joined. Both dead means the
+// edge is dead.
 func refineOr(a *analysis, st state, l minic.Expr, senseL bool, r minic.Expr, senseR bool, inRegion bool) bool {
-	ls := cloneState(st)
-	rs := cloneState(st)
+	ls := append(state(nil), st...)
 	lok := refineInto(a, ls, l, senseL, inRegion)
-	rok := refineInto(a, rs, r, senseR, inRegion)
+	rok := refineInto(a, st, r, senseR, inRegion)
 	switch {
 	case lok && rok:
-		merged := joinStates(ls, rs)
-		for k := range st {
-			if _, keep := merged[k]; !keep {
-				delete(st, k)
-			}
-		}
-		for k, v := range merged {
-			st[k] = v
-		}
-		return true
+		joinStates(st, ls, st)
 	case lok:
-		replaceState(st, ls)
-		return true
-	case rok:
-		replaceState(st, rs)
-		return true
+		copy(st, ls)
 	}
-	return false
-}
-
-func replaceState(dst, src state) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-func stGet(st state, v *variable) Val {
-	if val, ok := st[v.id]; ok {
-		return val
-	}
-	return topVal()
-}
-
-func stSet(st state, v *variable, val Val) {
-	if val.isTop() {
-		delete(st, v.id)
-	} else {
-		st[v.id] = val
-	}
+	return lok || rok
 }
 
 // excludeZero trims a zero endpoint off the interval (a full != split
@@ -206,7 +166,7 @@ func refineCmp(a *analysis, st state, x *minic.Binary, sense bool, inRegion bool
 			return false
 		}
 		if v != nil {
-			stSet(st, v, nv)
+			st.set(v.id, nv)
 		}
 		return true
 	}

@@ -48,13 +48,17 @@ func Encode(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
+// MaxBodyBytes bounds one request or response body the daemon and the
+// fleet dispatcher read (64 MiB — far above any seed workload's trace).
+const MaxBodyBytes = 64 << 20
+
 // Error is the JSON error envelope of the daemon.
 type Error struct {
 	SchemaVersion int    `json:"version"`
 	Err           string `json:"error"`
 	// Kind classifies the failure for programmatic handling:
 	// "bad_request", "compile_error", "max_cycles", "canceled",
-	// "deadline", "not_found", "internal".
+	// "deadline", "not_found", "too_large", "internal".
 	Kind string `json:"kind,omitempty"`
 }
 

@@ -1,10 +1,6 @@
 package depend
 
-import (
-	"fmt"
-
-	"paravis/internal/minic"
-)
+import "paravis/internal/minic"
 
 // loopInfo is one ForStmt in the target region with its recognized
 // induction variable. Loops whose induction pattern is not recognized
@@ -222,7 +218,7 @@ func (w *walker) decl(st *minic.DeclStmt) {
 // walks init/cond/body/post.
 func (w *walker) forStmt(st *minic.ForStmt) {
 	l := &loopInfo{
-		name:     fmt.Sprintf("for@%s", st.Pos),
+		name:     minic.LoopName(st),
 		pos:      st.Pos,
 		depth:    len(w.loops) + 1,
 		unroll:   st.Unroll,

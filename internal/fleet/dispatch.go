@@ -18,10 +18,6 @@ import (
 	"paravis/internal/api"
 )
 
-// maxBodyBytes bounds one buffered request or response body (64 MiB —
-// far above any seed workload's trace).
-const maxBodyBytes = 64 << 20
-
 // Handler returns the dispatcher's route table: the registration and
 // introspection endpoints, plus the whole /v1 API proxied across the
 // fleet.
@@ -203,7 +199,7 @@ func (d *Dispatcher) proxy(isRun bool) http.HandlerFunc {
 		if !d.admit(w, r) {
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+		body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes))
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad_request", err)
 			return
@@ -322,7 +318,7 @@ func (d *Dispatcher) send(wk *worker, r *http.Request, body []byte) (*http.Respo
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: reading response: %w", wk.url, err)
 	}

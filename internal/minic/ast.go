@@ -84,6 +84,11 @@ type ForStmt struct {
 	Pos    Pos
 }
 
+// LoopName is a loop's cross-package identity, "for@line:col": the key
+// of absint's loop facts, depend's loop records, transformation steps
+// and the lowered loop graphs.
+func LoopName(st *ForStmt) string { return "for@" + st.Pos.String() }
+
 // IfStmt is an if/else statement.
 type IfStmt struct {
 	Cond Expr

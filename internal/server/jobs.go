@@ -690,10 +690,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxRequestBody bounds one request body; a variable so tests can
+// shrink it.
+var maxRequestBody int64 = api.MaxBodyBytes
+
 // newStrictDecoder parses request bodies with unknown fields rejected,
 // so typos in request JSON surface as 400s instead of silent defaults.
-func newStrictDecoder(r *http.Request) *json.Decoder {
-	dec := json.NewDecoder(r.Body)
+// Reading past maxRequestBody fails with *http.MaxBytesError.
+func newStrictDecoder(w http.ResponseWriter, r *http.Request) *json.Decoder {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	return dec
 }

@@ -344,23 +344,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = api.Encode(w, v)
 }
 
-// decode parses the JSON request body; on failure it writes the 400 and
-// reports false.
+// decode parses the JSON request body; on failure it writes the 400
+// (413 for a body over maxRequestBody) and reports false.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeJSON(r, v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err)
+	if ct := r.Header.Get("Content-Type"); ct != "" && !strings.HasPrefix(ct, "application/json") {
+		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("unsupported content type %q", ct))
+		return false
+	}
+	if err := newStrictDecoder(w, r).Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
+		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	if ct := r.Header.Get("Content-Type"); ct != "" && !strings.HasPrefix(ct, "application/json") {
-		return fmt.Errorf("unsupported content type %q", ct)
-	}
-	dec := newStrictDecoder(r)
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
 }

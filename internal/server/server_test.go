@@ -542,6 +542,36 @@ func TestBadRequestsAndErrors(t *testing.T) {
 	readAll(t, resp)
 }
 
+// TestOversizedBodyGets413: a request body past the limit is refused
+// with a typed 413 before it is buffered, and the server keeps serving.
+func TestOversizedBodyGets413(t *testing.T) {
+	defer func(n int64) { maxRequestBody = n }(maxRequestBody)
+	maxRequestBody = 1 << 10
+	_, ts := newTestServer(t, 1)
+
+	resp := postJSON(t, ts.URL+"/v1/vet", api.VetRequest{
+		SchemaVersion: api.Version,
+		Source:        "void f() { }\n// " + strings.Repeat("x", 4<<10),
+	})
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = %d: %s", resp.StatusCode, body)
+	}
+	var e api.Error
+	if err := json.Unmarshal(body, &e); err != nil || e.Kind != "too_large" {
+		t.Fatalf("413 body not a too_large error: %s", body)
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/compile", api.CompileRequest{
+		SchemaVersion: api.Version,
+		Source:        workloads.PiSource,
+		Defines:       workloads.PiDefines(),
+	})
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile after a 413 = %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestShutdownDrainsAndRejects checks graceful shutdown: jobs in
 // flight are canceled, new runs are refused, healthz flips.
 func TestShutdownDrainsAndRejects(t *testing.T) {

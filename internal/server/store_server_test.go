@@ -343,7 +343,11 @@ func TestCoalesceSaturationSheds(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// Unblock the leader so Shutdown is quick.
+	// The leader's flight exists from Join while it compiles; its job is
+	// stored only just before its 202 is written. Count and cancel jobs
+	// after the leader's POST has returned, then unblock the leader so
+	// Shutdown is quick.
+	wg.Wait()
 	jobs := 0
 	s.jobs.Range(func(_, v any) bool {
 		jobs++
@@ -354,7 +358,6 @@ func TestCoalesceSaturationSheds(t *testing.T) {
 	if jobs == 0 {
 		t.Error("no jobs registered")
 	}
-	wg.Wait()
 }
 
 // TestHealthzReportsStoreStats checks the cache-shaped counters of

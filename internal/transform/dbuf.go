@@ -172,7 +172,7 @@ func intersects(a, b map[string]bool) bool {
 }
 
 func matchDoubleBuffer(c *passCtx, st *minic.ForStmt) (*dbufMatch, error) {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	fail := func(format string, args ...any) (*dbufMatch, error) {
 		return nil, notApplicable(PassDoubleBuffer, name, format, args...)
 	}
@@ -280,7 +280,7 @@ func doubleBuffer(c *passCtx, st *minic.ForStmt) error {
 	if err != nil {
 		return err
 	}
-	name := loopName(st)
+	name := minic.LoopName(st)
 	// Legality: overlapping iteration t+1's loads with iteration t's
 	// compute needs the DoubleBuffer verdict proven on every loop of the
 	// load phase (the loads being reordered across the tile boundary).

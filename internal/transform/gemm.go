@@ -58,7 +58,7 @@ func dramIndex(fn *minic.FuncDecl, e minic.Expr) (name string, sub minic.Expr, o
 }
 
 func matchBlockBRAM(c *passCtx, st *minic.ForStmt) (*gemmNest, error) {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	fail := func(format string, args ...any) (*gemmNest, error) {
 		return nil, notApplicable(PassBlockBRAM, name, format, args...)
 	}
@@ -209,7 +209,7 @@ func blockBRAM(c *passCtx, st *minic.ForStmt, bs int64, vec bool) error {
 	if err != nil {
 		return err
 	}
-	name := loopName(st)
+	name := minic.LoopName(st)
 	lanes := int64(c.lanes)
 	if bs < 2 {
 		return notApplicable(PassBlockBRAM, name, "block size %d < 2", bs)

@@ -135,7 +135,7 @@ func identNames(e minic.Expr) map[string]bool {
 // as guarded replicas, so any trip count is legal; the gate is purely
 // the dependence verdict.
 func unroll(c *passCtx, st *minic.ForStmt, factor int64) error {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	if factor < 2 {
 		return notApplicable(PassUnroll, name, "factor %d < 2", factor)
 	}
@@ -162,7 +162,7 @@ func unroll(c *passCtx, st *minic.ForStmt, factor int64) error {
 // launch parameters (thread-distributed loops keep their stride and are
 // handled by block-bram instead).
 func matchTile(c *passCtx, st *minic.ForStmt) error {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	sh := shapeOf(st)
 	if sh == nil {
 		return notApplicable(PassTile, name, "loop header is not a plain counted loop")
@@ -189,7 +189,7 @@ func matchTile(c *passCtx, st *minic.ForStmt) error {
 // tiling is trivially semantics-preserving; the Tile legality verdict
 // still gates it because tiling exists to enable reordering.
 func tile(c *passCtx, st *minic.ForStmt, size int64) error {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	if err := matchTile(c, st); err != nil {
 		return err
 	}
@@ -253,7 +253,7 @@ func matchRedistribute(c *passCtx, st *minic.ForStmt) error {
 }
 
 func findRedistribute(c *passCtx, st *minic.ForStmt) (*redistMatch, error) {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	sh := shapeOf(st)
 	if sh == nil {
 		return nil, notApplicable(PassRedistribute, name, "loop header is not a plain counted loop")
@@ -376,7 +376,7 @@ func findRedistribute(c *passCtx, st *minic.ForStmt) (*redistMatch, error) {
 	if dc, ok := dsh.stepConst(c.env); !ok || dc != 1 {
 		return nil, notApplicable(PassRedistribute, name, "enclosing output loop is not unit-stride")
 	}
-	if dld := c.rep.Loop(loopName(dist)); dld == nil || dld.ThreadLoop {
+	if dld := c.rep.Loop(minic.LoopName(dist)); dld == nil || dld.ThreadLoop {
 		return nil, notApplicable(PassRedistribute, name, "enclosing output loop is already thread-distributed")
 	}
 	m := &redistMatch{kShape: sh, distLoop: dist, critical: crit, write: merge}
@@ -452,7 +452,7 @@ type vecMatch struct {
 // `for (k) acc += X[base + k] * other` whose widened load stays aligned:
 // the paper's partial-vectorization rung (v2 → v3).
 func matchVectorize(c *passCtx, st *minic.ForStmt) (*vecMatch, error) {
-	name := loopName(st)
+	name := minic.LoopName(st)
 	sh := shapeOf(st)
 	if sh == nil {
 		return nil, notApplicable(PassVectorize, name, "loop header is not a plain counted loop")

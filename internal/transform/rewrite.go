@@ -310,10 +310,6 @@ func isZeroLit(e minic.Expr) bool {
 
 // --- Loop discovery ----------------------------------------------------
 
-func loopName(st *minic.ForStmt) string {
-	return fmt.Sprintf("for@%d:%d", st.Pos.Line, st.Pos.Col)
-}
-
 // forLoops collects every for statement under the function body in
 // source (pre-)order.
 func forLoops(fn *minic.FuncDecl) []*minic.ForStmt {
@@ -345,7 +341,7 @@ func forLoops(fn *minic.FuncDecl) []*minic.ForStmt {
 
 func findLoop(fn *minic.FuncDecl, name string) *minic.ForStmt {
 	for _, l := range forLoops(fn) {
-		if loopName(l) == name {
+		if minic.LoopName(l) == name {
 			return l
 		}
 	}

@@ -131,9 +131,9 @@ type passCtx struct {
 }
 
 func (c *passCtx) loopDeps(pass string, st *minic.ForStmt) (*depend.LoopDeps, error) {
-	ld := c.rep.Loop(loopName(st))
+	ld := c.rep.Loop(minic.LoopName(st))
 	if ld == nil {
-		return nil, notApplicable(pass, loopName(st), "no dependence record for loop")
+		return nil, notApplicable(pass, minic.LoopName(st), "no dependence record for loop")
 	}
 	return ld, nil
 }
@@ -274,7 +274,7 @@ func (b *Base) Targets() ([]Step, error) {
 	}
 	var out []Step
 	for _, st := range forLoops(ctx.fn) {
-		name := loopName(st)
+		name := minic.LoopName(st)
 		if matchRedistribute(ctx, st) == nil {
 			out = append(out, Step{Pass: PassRedistribute, Loop: name})
 		}
